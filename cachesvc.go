@@ -11,7 +11,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -52,22 +51,19 @@ import (
 //	DELETE /lease/{name}?owner=X           release: 204 (only X's own
 //	                                       lease is removed)
 //
-// Plus GET /healthz (liveness) and GET /metrics (a minimal Prometheus
-// rendering of the service counters). Blobs are stored in a BlobStore
-// (in-memory, or a directory sharing the disk cache's file format);
-// leases are in-memory — they are short-lived coordination state, and
-// losing them on restart costs at most one duplicated synthesis per
-// in-flight key, never correctness.
+// Plus GET /healthz (liveness), GET /readyz (always ready) and GET
+// /metrics (a minimal Prometheus rendering of the service counters).
+// Blobs are stored in a BlobStore (in-memory, or a directory sharing
+// the disk cache's file format); leases are in-memory — they are
+// short-lived coordination state, and losing them on restart costs at
+// most one duplicated synthesis per in-flight key, never correctness.
 //
 // A CacheServer is an http.Handler; Serve runs it with the same
 // graceful-drain behaviour as Server.Serve.
 type CacheServer struct {
-	store   BlobStore
-	mux     *http.ServeMux
-	maxBlob int64
-	drain   time.Duration
-	now     func() time.Time
-	traces  *TraceBuffer // nil = tracing off
+	*frontend
+	store BlobStore
+	now   func() time.Time
 
 	leaseMu sync.Mutex
 	leases  map[string]*cacheLease
@@ -132,7 +128,8 @@ func WithMaxBlobBytes(n int64) CacheServerOption {
 	return func(c *cacheServerConfig) { c.maxBlob = n }
 }
 
-// WithCacheDrainTimeout bounds Serve's graceful-shutdown drain window.
+// WithCacheDrainTimeout bounds Serve's graceful-shutdown drain window
+// (0 selects DefaultDrainTimeout).
 func WithCacheDrainTimeout(d time.Duration) CacheServerOption {
 	return func(c *cacheServerConfig) { c.drain = d }
 }
@@ -166,13 +163,18 @@ func NewCacheServer(store BlobStore, opts ...CacheServerOption) *CacheServer {
 		cfg.maxBlob = DefaultMaxBlobBytes
 	}
 	s := &CacheServer{
-		store:   store,
-		mux:     http.NewServeMux(),
-		maxBlob: cfg.maxBlob,
-		drain:   cfg.drain,
-		now:     cfg.now,
-		traces:  cfg.traces,
-		leases:  make(map[string]*cacheLease),
+		// No observer: the service keeps its own counter-based /metrics.
+		// No request timeout either, so blob PUTs get no body read
+		// deadline beyond the connection's header timeout.
+		frontend: newFrontend(frontend{
+			service: "cachesvc",
+			traces:  cfg.traces,
+			maxBody: cfg.maxBlob,
+			drain:   cfg.drain,
+		}, 0),
+		store:  store,
+		now:    cfg.now,
+		leases: make(map[string]*cacheLease),
 	}
 	s.mux.HandleFunc("GET /cache/{name}", s.handleGet) // HEAD rides along
 	s.mux.HandleFunc("PUT /cache/{name}", s.handlePut)
@@ -181,26 +183,15 @@ func NewCacheServer(store BlobStore, opts ...CacheServerOption) *CacheServer {
 	s.mux.HandleFunc("POST /lease/{name}", s.handleLeaseAcquire)
 	s.mux.HandleFunc("PUT /lease/{name}", s.handleLeaseHeartbeat)
 	s.mux.HandleFunc("DELETE /lease/{name}", s.handleLeaseRelease)
-	s.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(map[string]string{"status": "ok"})
-	})
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	if cfg.traces != nil {
-		s.mux.Handle("GET /debug/traces", cfg.traces.Handler())
-	}
+	s.mountProbes(nil)
 	return s
 }
 
 // ServeHTTP implements http.Handler.
 func (s *CacheServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if s.traces != nil && (strings.HasPrefix(r.URL.Path, "/cache/") || strings.HasPrefix(r.URL.Path, "/lease/")) {
-		tr := traceForRequest("cachesvc", r.Method+" "+r.URL.Path, r)
-		sw := &statusWriter{ResponseWriter: w}
-		sw.Header().Set(TraceIDHeader, tr.ID())
-		s.mux.ServeHTTP(sw, r.WithContext(ContextWithSpan(r.Context(), tr.Root())))
-		tr.Root().SetAttr("status", strconv.Itoa(sw.status()))
-		tr.Finish(s.traces)
+		s.serveTraced(&statusWriter{ResponseWriter: w}, r, r.Method+" "+r.URL.Path, s.mux)
 		return
 	}
 	s.mux.ServeHTTP(w, r)
@@ -209,31 +200,7 @@ func (s *CacheServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // Serve accepts connections on l until ctx is cancelled, then drains
 // in-flight requests like Server.Serve: a bounded graceful shutdown,
 // force-closing connections only when the drain window expires.
-func (s *CacheServer) Serve(ctx context.Context, l net.Listener) error {
-	hs := &http.Server{
-		Handler:           s,
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- hs.Serve(l) }()
-	select {
-	case err := <-serveErr:
-		if errors.Is(err, http.ErrServerClosed) {
-			return nil
-		}
-		return err
-	case <-ctx.Done():
-	}
-	drainCtx, cancel := context.WithTimeout(context.Background(), s.drain)
-	defer cancel()
-	if err := hs.Shutdown(drainCtx); err != nil {
-		hs.Close()
-		<-serveErr
-		return fmt.Errorf("lclgrid: drain window %v expired with requests still in flight: %w", s.drain, err)
-	}
-	<-serveErr
-	return nil
-}
+func (s *CacheServer) Serve(ctx context.Context, l net.Listener) error { return s.serve(ctx, l, s) }
 
 // Stats returns a snapshot of the service counters.
 func (s *CacheServer) Stats() CacheServerStats {
@@ -296,14 +263,9 @@ func (s *CacheServer) handlePut(w http.ResponseWriter, r *http.Request) {
 		httpError(w, r, http.StatusBadRequest, errors.New("lclgrid: bad cache key name"))
 		return
 	}
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.maxBlob))
+	data, err := io.ReadAll(s.body(w, r))
 	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			httpError(w, r, http.StatusRequestEntityTooLarge, fmt.Errorf("lclgrid: cache record exceeds %d bytes", mbe.Limit))
-		} else {
-			httpError(w, r, http.StatusBadRequest, err)
-		}
+		bodyError(w, r, err, "cache record", err)
 		return
 	}
 	if err := s.store.Put(name, data); err != nil {

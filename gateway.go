@@ -8,7 +8,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"iter"
 	"net"
 	"net/http"
 	"net/url"
@@ -39,42 +38,37 @@ import (
 //	                   upstream batch per shard, result streams merged
 //	                   (completion order by default, ?ordered=1 restores
 //	                   input order via the Reordered collector)
-//	GET  /v1/problems  proxied to any healthy shard (catalogue is
-//	                   replica-independent)
+//	GET  /v1/problems  proxied with the routed failover (the catalogue
+//	                   is replica-independent)
 //	POST /v1/problems  broadcast to every reachable shard (registration
 //	                   is process-local registry state; the post is
 //	                   idempotent on the canonical fingerprint), the
 //	                   fingerprint owner's answer relayed to the client
-//	GET  /v1/problems/{key}  proxied to the key's owning shard
+//	GET  /v1/problems/{key}  routed to the key's owning shard
 //	GET  /healthz      gateway liveness
 //	GET  /readyz       503 until at least one shard probes healthy
 //	GET  /metrics      gateway-side Prometheus series
 //
-// Failure handling: solve-shaped requests are idempotent (a solve is a
-// pure function of its request), so a shard that fails at the transport
-// level — or answers 502/503, the "not me" statuses — is marked
-// unhealthy and the request is retried on the next replica in the
-// key's ring sequence. Mid-batch shard loss cannot be retried
-// transparently (the stream is already committed), so the lost shard's
-// unanswered lines surface as in-band per-request {"error": ...} lines
-// while every other shard's results keep flowing.
+// Failure handling: routed requests are idempotent (a solve is a pure
+// function of its request, a problem read a pure lookup), so a shard
+// that fails at the transport level — or answers 502/503, the "not me"
+// statuses — is marked unhealthy and the request is retried on the
+// next replica in the key's ring sequence. Mid-batch shard loss cannot
+// be retried transparently (the stream is already committed), so the
+// lost shard's unanswered lines surface as in-band per-request
+// {"error": ...} lines while every other shard's results keep flowing.
 //
-// A Gateway is an http.Handler; Serve adds the graceful drain and the
-// background health prober.
+// Admission, body caps, read and request deadlines, probes, /metrics
+// and tracing come from the frontend shared with Server. A Gateway is
+// an http.Handler; Serve adds the graceful drain and the background
+// health prober.
 type Gateway struct {
-	shards  []string // normalized base URLs, ring member names
-	ring    *ring.Ring
-	client  *http.Client
-	mux     *http.ServeMux
-	metrics *MetricsObserver
-	reg     *Registry
-
-	inflight chan struct{}
-	maxBody  int64
-	timeout  time.Duration
-	drain    time.Duration
+	*frontend
+	shards   []string // normalized base URLs, ring member names
+	ring     *ring.Ring
+	client   *http.Client
+	reg      *Registry
 	probeGap time.Duration
-	traces   *TraceBuffer // nil = tracing off
 
 	healthMu sync.Mutex
 	health   map[string]*shardHealth
@@ -150,7 +144,8 @@ func WithGatewayRequestTimeout(d time.Duration) GatewayOption {
 	return func(cfg *gatewayConfig) { cfg.timeout = d }
 }
 
-// WithGatewayDrainTimeout bounds Serve's graceful-shutdown drain.
+// WithGatewayDrainTimeout bounds Serve's graceful-shutdown drain (0
+// selects DefaultDrainTimeout).
 func WithGatewayDrainTimeout(d time.Duration) GatewayOption {
 	return func(cfg *gatewayConfig) { cfg.drain = d }
 }
@@ -207,44 +202,35 @@ func NewGateway(shards []string, opts ...GatewayOption) (*Gateway, error) {
 	if cfg.reg == nil {
 		cfg.reg = DefaultRegistry()
 	}
-	if cfg.drain <= 0 {
-		cfg.drain = DefaultDrainTimeout
-	}
 	g := &Gateway{
+		frontend: newFrontend(frontend{
+			service: "gateway",
+			metrics: cfg.metrics,
+			traces:  cfg.traces,
+			timeout: cfg.timeout,
+			maxBody: cfg.maxBody,
+			drain:   cfg.drain,
+		}, cfg.maxInflight),
 		shards:   normalized,
 		ring:     r,
 		client:   cfg.client,
-		mux:      http.NewServeMux(),
-		metrics:  cfg.metrics,
 		reg:      cfg.reg,
-		maxBody:  cfg.maxBody,
-		timeout:  cfg.timeout,
-		drain:    cfg.drain,
 		probeGap: cfg.probeGap,
-		traces:   cfg.traces,
 		health:   make(map[string]*shardHealth),
 		fps:      make(map[string]string),
 	}
 	for _, s := range normalized {
 		g.health[s] = &shardHealth{}
 	}
-	if cfg.maxInflight > 0 {
-		g.inflight = make(chan struct{}, cfg.maxInflight)
-	}
-	g.mux.Handle("POST /v1/solve", g.instrument("/v1/solve", g.admit(g.routed("/v1/solve"))))
-	g.mux.Handle("POST /v1/explain", g.instrument("/v1/explain", http.HandlerFunc(g.routed("/v1/explain"))))
-	g.mux.Handle("POST /v1/labels", g.instrument("/v1/labels", g.admit(g.routed("/v1/labels"))))
-	g.mux.Handle("POST /v1/export", g.instrument("/v1/export", g.admit(g.routed("/v1/export"))))
-	g.mux.Handle("POST /v1/batch", g.instrument("/v1/batch", g.admit(g.handleBatch)))
-	g.mux.Handle("GET /v1/problems", g.instrument("/v1/problems", http.HandlerFunc(g.handleProblems)))
-	g.mux.Handle("POST /v1/problems", g.instrument("/v1/problems", http.HandlerFunc(g.handleDefineProblem)))
-	g.mux.Handle("GET /v1/problems/{key}", g.instrument("/v1/problems/{key}", http.HandlerFunc(g.handleProblemGet)))
-	g.mux.Handle("GET /healthz", g.instrument("/healthz", http.HandlerFunc(g.handleHealthz)))
-	g.mux.Handle("GET /readyz", g.instrument("/readyz", http.HandlerFunc(g.handleReadyz)))
-	g.mux.Handle("GET /metrics", g.instrument("/metrics", http.HandlerFunc(g.handleMetrics)))
-	if cfg.traces != nil {
-		g.mux.Handle("GET /debug/traces", cfg.traces.Handler())
-	}
+	g.handle("POST /v1/solve", true, g.handleRouted)
+	g.handle("POST /v1/explain", false, g.handleRouted)
+	g.handle("POST /v1/labels", true, g.handleRouted)
+	g.handle("POST /v1/export", true, g.handleRouted)
+	g.handle("POST /v1/batch", true, g.handleBatch)
+	g.handle("GET /v1/problems", false, g.handleProblems)
+	g.handle("POST /v1/problems", false, g.handleDefineProblem)
+	g.handle("GET /v1/problems/{key}", false, g.handleProblemGet)
+	g.mountProbes(g.Ready)
 	return g, nil
 }
 
@@ -257,11 +243,6 @@ func (g *Gateway) Shards() []string {
 
 // Metrics returns the gateway's metrics observer.
 func (g *Gateway) Metrics() *MetricsObserver { return g.metrics }
-
-// ServeHTTP implements http.Handler.
-func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	g.mux.ServeHTTP(w, r)
-}
 
 // Serve accepts connections on l until ctx is cancelled, running the
 // background shard prober for the duration and draining in-flight
@@ -282,29 +263,7 @@ func (g *Gateway) Serve(ctx context.Context, l net.Listener) error {
 			}
 		}
 	}()
-	hs := &http.Server{
-		Handler:           g,
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- hs.Serve(l) }()
-	select {
-	case err := <-serveErr:
-		if errors.Is(err, http.ErrServerClosed) {
-			return nil
-		}
-		return err
-	case <-ctx.Done():
-	}
-	drainCtx, cancel := context.WithTimeout(context.Background(), g.drain)
-	defer cancel()
-	if err := hs.Shutdown(drainCtx); err != nil {
-		hs.Close()
-		<-serveErr
-		return fmt.Errorf("lclgrid: drain window %v expired with requests still in flight: %w", g.drain, err)
-	}
-	<-serveErr
-	return nil
+	return g.serve(ctx, l, g)
 }
 
 // --- health -------------------------------------------------------------------
@@ -378,48 +337,6 @@ func (g *Gateway) Ready() error {
 	return errors.New("lclgrid: no healthy shard")
 }
 
-// --- middleware (admission/metrics parity with Server) ------------------------
-
-func (g *Gateway) instrument(path string, next http.Handler) http.Handler {
-	// Only the /v1/ work endpoints trace — probe and scrape noise would
-	// evict the traces worth keeping (same policy as Server).
-	traced := strings.HasPrefix(path, "/v1/")
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		g.metrics.httpStart()
-		sw := &statusWriter{ResponseWriter: w}
-		if g.traces != nil && traced {
-			tr := traceForRequest("gateway", path, r)
-			sw.Header().Set(TraceIDHeader, tr.ID())
-			r = r.WithContext(ContextWithSpan(r.Context(), tr.Root()))
-			defer func() {
-				tr.Root().SetAttr("status", strconv.Itoa(sw.status()))
-				tr.Finish(g.traces)
-			}()
-		}
-		start := time.Now()
-		next.ServeHTTP(sw, r)
-		g.metrics.httpEnd(path, sw.status(), time.Since(start))
-	})
-}
-
-func (g *Gateway) admit(next http.HandlerFunc) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if g.inflight != nil {
-			select {
-			case g.inflight <- struct{}{}:
-				defer func() { <-g.inflight }()
-			default:
-				g.metrics.httpRejected()
-				w.Header().Set("Retry-After", "1")
-				httpError(w, r, http.StatusTooManyRequests,
-					errors.New("lclgrid: gateway at capacity; retry after backoff"))
-				return
-			}
-		}
-		next(w, r)
-	})
-}
-
 // --- routing ------------------------------------------------------------------
 
 // routingKey reduces a request key to the string placed on the ring:
@@ -449,20 +366,11 @@ func (g *Gateway) routingKey(key string) string {
 }
 
 // readBody buffers the request body (the gateway must be able to replay
-// it on retry), honouring the body cap.
+// it on retry) through the frontend's capped, read-deadlined reader.
 func (g *Gateway) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body := io.Reader(r.Body)
-	if g.maxBody > 0 {
-		body = http.MaxBytesReader(w, r.Body, g.maxBody)
-	}
-	data, err := io.ReadAll(body)
+	data, err := io.ReadAll(g.body(w, r))
 	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			httpError(w, r, http.StatusRequestEntityTooLarge, fmt.Errorf("lclgrid: request body exceeds %d bytes", mbe.Limit))
-		} else {
-			httpError(w, r, http.StatusBadRequest, fmt.Errorf("lclgrid: reading request body: %w", err))
-		}
+		bodyError(w, r, err, "request body", fmt.Errorf("lclgrid: reading request body: %w", err))
 		return nil, false
 	}
 	return data, true
@@ -496,94 +404,96 @@ func (g *Gateway) docRoutingKey(doc keyDoc) string {
 	return ""
 }
 
-// routed returns a handler that proxies one buffered request document
-// to the shards in ring order for its key: the owner first, then each
-// successor on transport-level failure or a 502/503 answer. Requests
-// are pure solves, so the retry is safe; a response with any other
-// status (the shard answered, the answer just wasn't 2xx) is passed
-// through untouched — it is the shard's verdict, not a routing failure.
-func (g *Gateway) routed(path string) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		body, ok := g.readBody(w, r)
-		if !ok {
-			return
-		}
-		var doc keyDoc
-		if err := json.Unmarshal(body, &doc); err != nil {
-			httpError(w, r, http.StatusBadRequest, fmt.Errorf("lclgrid: bad request document: %w", err))
-			return
-		}
-		ctx := r.Context()
-		if g.timeout > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, g.timeout)
-			defer cancel()
-		}
-		seq := g.ring.Sequence(g.docRoutingKey(doc))
-		var lastErr error
-		attempts := 0
-		for _, shard := range seq {
-			if attempts > 0 {
-				g.metrics.gatewayRetry()
-			}
-			if !g.shardHealthy(shard) && attempts+1 < len(seq) {
-				// Known-unhealthy shards are skipped while alternatives
-				// remain; the last candidate is always tried (stale health
-				// beats certain failure).
-				continue
-			}
-			attempts++
-			resp, err := g.forward(ctx, shard, path, r.URL.RawQuery, body)
-			if err != nil {
-				g.setHealth(shard, false, err.Error())
-				lastErr = fmt.Errorf("shard %s: %w", shard, err)
-				continue
-			}
-			if resp.StatusCode == http.StatusBadGateway || resp.StatusCode == http.StatusServiceUnavailable {
-				resp.Body.Close()
-				g.setHealth(shard, false, resp.Status)
-				g.metrics.gatewayRequest(path, shard, resp.StatusCode)
-				lastErr = fmt.Errorf("shard %s: %s", shard, resp.Status)
-				continue
-			}
-			g.setHealth(shard, true, "")
-			g.metrics.gatewayRequest(path, shard, resp.StatusCode)
-			relay(w, resp)
-			return
-		}
-		g.metrics.gatewayError()
-		if lastErr == nil {
-			lastErr = errors.New("no shard available")
-		}
-		httpError(w, r, http.StatusBadGateway, fmt.Errorf("lclgrid: every replica for this key failed: %w", lastErr))
+// handleRouted proxies one buffered request document to the shards in
+// ring order for its key (see proxy).
+func (g *Gateway) handleRouted(w http.ResponseWriter, r *http.Request) {
+	body, ok := g.readBody(w, r)
+	if !ok {
+		return
+	}
+	var doc keyDoc
+	if err := json.Unmarshal(body, &doc); err != nil {
+		httpError(w, r, http.StatusBadRequest, fmt.Errorf("lclgrid: bad request document: %w", err))
+		return
+	}
+	ctx, cancel := g.requestCtx(r)
+	defer cancel()
+	if resp := g.proxy(ctx, w, r, g.docRoutingKey(doc), body, "every replica for this key failed"); resp != nil {
+		relay(w, resp)
 	}
 }
 
-// forward issues one upstream request with the buffered body, carrying
-// the request's trace to the shard via traceparent; each retry is its
-// own "forward" span naming the shard it tried.
-func (g *Gateway) forward(ctx context.Context, shard, path, rawQuery string, body []byte) (*http.Response, error) {
-	u := shard + path
-	if rawQuery != "" {
-		u += "?" + rawQuery
+// proxy sends r (with the buffered body; a GET carries none) to the
+// shards in ring order for route: the owner first, then each successor
+// on a failed attempt (see forward) — requests are pure reads or
+// solves, so the retry is safe. Known-unhealthy shards are skipped while
+// alternatives remain; the last candidate is always tried (stale health
+// beats certain failure). It returns the first answer — the shard's
+// verdict, 2xx or not — for the caller to relay, or writes the 502
+// naming failure and returns nil when every candidate failed.
+func (g *Gateway) proxy(ctx context.Context, w http.ResponseWriter, r *http.Request, route string, body []byte, failure string) *http.Response {
+	seq := g.ring.Sequence(route)
+	var lastErr error
+	for i, shard := range seq {
+		if !g.shardHealthy(shard) && i+1 < len(seq) {
+			continue
+		}
+		if lastErr != nil {
+			g.metrics.gatewayRetry()
+		}
+		resp, err := g.forward(ctx, shard, r, body)
+		if err == nil {
+			return resp
+		}
+		lastErr = err
+	}
+	g.metrics.gatewayError()
+	httpError(w, r, http.StatusBadGateway, fmt.Errorf("lclgrid: %s: %w", failure, lastErr))
+	return nil
+}
+
+// forward issues r's method and path to one shard with the buffered
+// body, carrying the request's trace via traceparent (and a GET's
+// If-None-Match); each retry is its own "forward" span naming the shard
+// it tried. A transport failure or a 502/503 answer (the "not me"
+// statuses) marks the shard unhealthy and comes back as an error; any
+// other answer marks it healthy.
+func (g *Gateway) forward(ctx context.Context, shard string, r *http.Request, body []byte) (*http.Response, error) {
+	u := shard + r.URL.EscapedPath()
+	if r.URL.RawQuery != "" {
+		u += "?" + r.URL.RawQuery
 	}
 	ctx, sp := StartSpan(ctx, "forward")
 	sp.SetAttr("shard", shard)
-	sp.SetAttr("path", path)
+	sp.SetAttr("path", r.URL.Path)
 	defer sp.End()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, u, bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, r.Method, u, bytes.NewReader(body))
 	if err != nil {
 		sp.SetError(err)
 		return nil, err
 	}
-	req.Header.Set("Content-Type", "application/json")
+	if r.Method == http.MethodGet {
+		if v := r.Header.Get("If-None-Match"); v != "" {
+			req.Header.Set("If-None-Match", v)
+		}
+	} else {
+		req.Header.Set("Content-Type", "application/json")
+	}
 	injectTraceparent(ctx, req.Header)
 	resp, err := g.client.Do(req)
 	if err != nil {
 		sp.SetError(err)
-		return nil, err
+		g.setHealth(shard, false, err.Error())
+		return nil, fmt.Errorf("shard %s: %w", shard, err)
 	}
 	sp.SetAttr("status", strconv.Itoa(resp.StatusCode))
+	g.metrics.gatewayRequest(patternPath(r.Pattern), shard, resp.StatusCode)
+	if resp.StatusCode == http.StatusBadGateway || resp.StatusCode == http.StatusServiceUnavailable {
+		resp.Body.Close()
+		g.setHealth(shard, false, resp.Status)
+		return nil, fmt.Errorf("shard %s: %s", shard, resp.Status)
+	}
+	g.setHealth(shard, true, "")
 	return resp, nil
 }
 
@@ -591,12 +501,7 @@ func (g *Gateway) forward(ctx context.Context, shard, path, rawQuery string, bod
 // as it copies so upstream streams (export bands) stay streams.
 func relay(w http.ResponseWriter, resp *http.Response) {
 	defer resp.Body.Close()
-	for _, k := range []string{"Content-Type", "ETag", "Cache-Control", "Retry-After", TraceIDHeader} {
-		if v := resp.Header.Get(k); v != "" {
-			w.Header().Set(k, v)
-		}
-	}
-	w.WriteHeader(resp.StatusCode)
+	relayHeader(w, resp)
 	rc := http.NewResponseController(w)
 	buf := make([]byte, 32<<10)
 	for {
@@ -613,40 +518,31 @@ func relay(w http.ResponseWriter, resp *http.Response) {
 	}
 }
 
-// handleProblems proxies the catalogue from any healthy shard — the
-// registry is identical across replicas, so the first answer wins.
+// relayBuffered writes an already-read upstream response to the client.
+func relayBuffered(w http.ResponseWriter, resp *http.Response, body []byte) {
+	relayHeader(w, resp)
+	_, _ = w.Write(body)
+}
+
+// relayHeader copies the upstream headers a client can act on and the
+// upstream status.
+func relayHeader(w http.ResponseWriter, resp *http.Response) {
+	for _, k := range []string{"Content-Type", "ETag", "Cache-Control", "Retry-After", TraceIDHeader} {
+		if v := resp.Header.Get(k); v != "" {
+			w.Header().Set(k, v)
+		}
+	}
+	w.WriteHeader(resp.StatusCode)
+}
+
+// handleProblems proxies the catalogue — the registry is identical
+// across replicas, so any shard's answer serves.
 func (g *Gateway) handleProblems(w http.ResponseWriter, r *http.Request) {
-	ctx := r.Context()
-	var lastErr error
-	for _, shard := range g.ring.Sequence("catalogue") {
-		if !g.shardHealthy(shard) {
-			continue
-		}
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, shard+"/v1/problems", nil)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		injectTraceparent(ctx, req.Header)
-		if v := r.Header.Get("If-None-Match"); v != "" {
-			req.Header.Set("If-None-Match", v)
-		}
-		resp, err := g.client.Do(req)
-		if err != nil {
-			g.setHealth(shard, false, err.Error())
-			lastErr = err
-			continue
-		}
-		g.setHealth(shard, true, "")
-		g.metrics.gatewayRequest("/v1/problems", shard, resp.StatusCode)
+	ctx, cancel := g.requestCtx(r)
+	defer cancel()
+	if resp := g.proxy(ctx, w, r, "catalogue", nil, "catalogue unavailable"); resp != nil {
 		relay(w, resp)
-		return
 	}
-	g.metrics.gatewayError()
-	if lastErr == nil {
-		lastErr = errors.New("no healthy shard")
-	}
-	httpError(w, r, http.StatusBadGateway, fmt.Errorf("lclgrid: catalogue unavailable: %w", lastErr))
 }
 
 // definedDoc is the slice of a define/get response the gateway reads to
@@ -670,17 +566,6 @@ func (g *Gateway) learnBinding(body []byte) {
 	g.fpMu.Unlock()
 }
 
-// relayBuffered writes an already-read upstream response to the client.
-func relayBuffered(w http.ResponseWriter, resp *http.Response, body []byte) {
-	for _, k := range []string{"Content-Type", "ETag", "Cache-Control", "Retry-After", TraceIDHeader} {
-		if v := resp.Header.Get(k); v != "" {
-			w.Header().Set(k, v)
-		}
-	}
-	w.WriteHeader(resp.StatusCode)
-	_, _ = w.Write(body)
-}
-
 // handleDefineProblem serves POST /v1/problems by broadcast: a problem
 // registration is process-local registry state on each shard (unlike
 // synthesis results, which the fleet shares through the remote cache),
@@ -695,12 +580,8 @@ func (g *Gateway) handleDefineProblem(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	ctx := r.Context()
-	if g.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, g.timeout)
-		defer cancel()
-	}
+	ctx, cancel := g.requestCtx(r)
+	defer cancel()
 	var route string
 	var def ProblemDef
 	if err := json.Unmarshal(body, &def); err == nil {
@@ -711,20 +592,11 @@ func (g *Gateway) handleDefineProblem(w http.ResponseWriter, r *http.Request) {
 	relayed := false
 	var lastErr error
 	for _, shard := range g.ring.Sequence(route) {
-		resp, err := g.forward(ctx, shard, "/v1/problems", "", body)
+		resp, err := g.forward(ctx, shard, r, body)
 		if err != nil {
-			g.setHealth(shard, false, err.Error())
-			lastErr = fmt.Errorf("shard %s: %w", shard, err)
+			lastErr = err
 			continue
 		}
-		g.metrics.gatewayRequest("/v1/problems", shard, resp.StatusCode)
-		if resp.StatusCode == http.StatusBadGateway || resp.StatusCode == http.StatusServiceUnavailable {
-			resp.Body.Close()
-			g.setHealth(shard, false, resp.Status)
-			lastErr = fmt.Errorf("shard %s: %s", shard, resp.Status)
-			continue
-		}
-		g.setHealth(shard, true, "")
 		respBody, rerr := io.ReadAll(io.LimitReader(resp.Body, 8<<20))
 		resp.Body.Close()
 		if rerr != nil {
@@ -754,74 +626,29 @@ func (g *Gateway) handleDefineProblem(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleProblemGet proxies GET /v1/problems/{key} to the key's owning
-// shard (falling through the ring sequence on failure), learning the
-// key's fingerprint binding from the answer so a gateway that restarted
-// after a registration re-converges on fingerprint routing lazily.
+// shard (see proxy), learning the key's fingerprint binding from a 200
+// answer so a gateway that restarted after a registration re-converges
+// on fingerprint routing lazily.
 func (g *Gateway) handleProblemGet(w http.ResponseWriter, r *http.Request) {
-	key := r.PathValue("key")
-	ctx := r.Context()
-	var lastErr error
-	for _, shard := range g.ring.Sequence(g.routingKey(key)) {
-		if !g.shardHealthy(shard) {
-			continue
-		}
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, shard+"/v1/problems/"+url.PathEscape(key), nil)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		injectTraceparent(ctx, req.Header)
-		if v := r.Header.Get("If-None-Match"); v != "" {
-			req.Header.Set("If-None-Match", v)
-		}
-		resp, err := g.client.Do(req)
-		if err != nil {
-			g.setHealth(shard, false, err.Error())
-			lastErr = err
-			continue
-		}
-		g.setHealth(shard, true, "")
-		g.metrics.gatewayRequest("/v1/problems/{key}", shard, resp.StatusCode)
-		if resp.StatusCode == http.StatusOK {
-			body, rerr := io.ReadAll(io.LimitReader(resp.Body, 8<<20))
-			resp.Body.Close()
-			if rerr != nil {
-				lastErr = rerr
-				continue
-			}
-			g.learnBinding(body)
-			relayBuffered(w, resp, body)
-			return
-		}
+	ctx, cancel := g.requestCtx(r)
+	defer cancel()
+	resp := g.proxy(ctx, w, r, g.routingKey(r.PathValue("key")), nil, "problem lookup unavailable")
+	if resp == nil {
+		return
+	}
+	if resp.StatusCode != http.StatusOK {
 		relay(w, resp)
 		return
 	}
-	g.metrics.gatewayError()
-	if lastErr == nil {
-		lastErr = errors.New("no healthy shard")
-	}
-	httpError(w, r, http.StatusBadGateway, fmt.Errorf("lclgrid: problem lookup unavailable: %w", lastErr))
-}
-
-func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(map[string]string{"status": "ok"})
-}
-
-func (g *Gateway) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	if err := g.Ready(); err != nil {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusServiceUnavailable)
-		_ = json.NewEncoder(w).Encode(map[string]string{"status": "unready", "error": err.Error()})
+	body, err := io.ReadAll(io.LimitReader(resp.Body, 8<<20))
+	resp.Body.Close()
+	if err != nil {
+		g.metrics.gatewayError()
+		httpError(w, r, http.StatusBadGateway, fmt.Errorf("lclgrid: problem lookup unavailable: %w", err))
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(map[string]string{"status": "ready"})
-}
-
-func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_ = g.metrics.WritePrometheus(w)
+	g.learnBinding(body)
+	relayBuffered(w, resp, body)
 }
 
 // --- batch fan-out ------------------------------------------------------------
@@ -859,17 +686,12 @@ type batchReq struct {
 // line stops the fan-out with the server's terminal index-less error
 // line after the dispatched work drains.
 func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
-	ordered := r.URL.Query().Get("ordered") == "1" || r.URL.Query().Get("ordered") == "true"
 	body, ok := g.readBody(w, r)
 	if !ok {
 		return
 	}
-	ctx := r.Context()
-	if g.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, g.timeout)
-		defer cancel()
-	}
+	ctx, cancel := g.requestCtx(r)
+	defer cancel()
 
 	// Partition the input by owning shard. The whole batch is decoded
 	// up front — the body is already buffered and capped, and grouping
@@ -902,8 +724,7 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 	// Collector: shard readers publish each global line here; the main
 	// goroutine is the only writer to the connection.
-	type done struct{ line gwLine }
-	results := make(chan done)
+	results := make(chan gwLine)
 	var wg sync.WaitGroup
 	for shard, reqs := range groups {
 		wg.Add(1)
@@ -911,7 +732,7 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 			defer wg.Done()
 			g.runShardBatch(ctx, shard, reqs, func(line gwLine) {
 				select {
-				case results <- done{line: line}:
+				case results <- line:
 				case <-ctx.Done():
 				}
 			})
@@ -920,47 +741,38 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 	go func() { wg.Wait(); close(results) }()
 
 	emit := func(line gwLine) bool {
-		if err := enc.Encode(line); err != nil {
-			return false
+		if enc.Encode(line) == nil && rc.Flush() == nil {
+			return true
 		}
-		return rc.Flush() == nil
+		go func() {
+			for range results {
+			} // unblock the shard readers; ctx teardown follows
+		}()
+		return false
 	}
-	if ordered {
-		// Feed the merged stream through the same collector the server
-		// uses: BatchItems carry the global index, a side table carries
-		// the frames.
-		var frameMu sync.Mutex
-		frames := make(map[int]gwLine, total)
-		seq := iter.Seq2[BatchItem, error](func(yield func(BatchItem, error) bool) {
-			for d := range results {
-				frameMu.Lock()
-				frames[*d.line.Index] = d.line
-				frameMu.Unlock()
-				if !yield(BatchItem{Index: *d.line.Index}, nil) {
-					return
-				}
-			}
-		})
-		for it := range Reordered(seq) {
-			frameMu.Lock()
-			line := frames[it.Index]
-			delete(frames, it.Index)
-			frameMu.Unlock()
+	if !orderedBatch(r) {
+		for line := range results {
 			if !emit(line) {
-				go func() {
-					for range results {
-					} // unblock the shard readers; ctx teardown follows
-				}()
 				return
 			}
 		}
 	} else {
-		for d := range results {
-			if !emit(d.line) {
-				go func() {
-					for range results {
-					}
-				}()
+		// Feed the merged stream through the same collector the server
+		// uses: BatchItems carry the global index, a side table carries
+		// the frames.
+		frames := make(map[int]gwLine, total)
+		seq := func(yield func(BatchItem, error) bool) {
+			for line := range results {
+				frames[*line.Index] = line
+				if !yield(BatchItem{Index: *line.Index}, nil) {
+					return
+				}
+			}
+		}
+		for it := range Reordered(seq) {
+			line := frames[it.Index]
+			delete(frames, it.Index)
+			if !emit(line) {
 				return
 			}
 		}

@@ -4,7 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"testing"
+	"time"
 )
 
 // TestGatewayDefineProblem pins the fleet-level DSL contract: POST
@@ -130,5 +132,28 @@ func TestGatewayInlineDefRoutesByFingerprint(t *testing.T) {
 	// A keyless, defless document has no route (single-shard fallback).
 	if got := gw.docRoutingKey(keyDoc{}); got != "" {
 		t.Errorf("unroutable doc got route %q", got)
+	}
+}
+
+// TestGatewayGetsTryLastUnhealthyShard: the GET proxies follow the
+// routed POSTs' health rule — a known-unhealthy shard is skipped only
+// while an alternative remains — so a single-shard fleet whose shard is
+// marked unhealthy still serves both problem reads instead of a 502
+// until the next probe.
+func TestGatewayGetsTryLastUnhealthyShard(t *testing.T) {
+	shard, _ := startServer(t, NewServer(NewEngine()))
+	gw, err := NewGateway([]string{shard}, WithGatewayProbeInterval(time.Hour))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Mounted directly: no background prober to restore the health.
+	ts := httptest.NewServer(gw)
+	defer ts.Close()
+	for _, path := range []string{"/v1/problems", "/v1/problems/5col"} {
+		gw.setHealth(shard, false, "marked down by the test")
+		resp, body := getBody(t, ts.URL+path)
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("GET %s with its only shard marked unhealthy: %d\n%s", path, resp.StatusCode, body)
+		}
 	}
 }

@@ -443,35 +443,55 @@ func TestServerRequestTimeout(t *testing.T) {
 	}
 }
 
-// TestServerStalledBodyReleasesSlot checks the slowloris defence: a
-// client that sends half a request document and stalls is cut off by
-// the read deadline instead of parking the handler (and its admission
-// slot) forever.
+// TestServerStalledBodyReleasesSlot checks the slowloris defence on
+// both admitting frontends, the server and the gateway: a client that
+// sends half a request document and stalls is cut off by the read
+// deadline instead of parking the handler (and its admission slot)
+// forever.
 func TestServerStalledBodyReleasesSlot(t *testing.T) {
-	srv := NewServer(NewEngine(), WithRequestTimeout(200*time.Millisecond), WithMaxInflight(1))
-	base, _ := startServer(t, srv)
-
-	conn, err := net.Dial("tcp", strings.TrimPrefix(base, "http://"))
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	defer conn.Close()
-	partial := `{"key":"4col",`
-	fmt.Fprintf(conn, "POST /v1/solve HTTP/1.1\r\nHost: x\r\nContent-Type: application/json\r\nContent-Length: 1000\r\n\r\n%s", partial)
-	// The server must answer within the read deadline, not hang.
-	_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	buf := make([]byte, 1024)
-	n, err := conn.Read(buf)
-	if err != nil {
-		t.Fatalf("stalled request got no response: %v", err)
-	}
-	if !strings.Contains(string(buf[:n]), "400") {
-		t.Errorf("stalled request response is not a 400:\n%s", buf[:n])
-	}
-	// The admission slot is free again: a real request serves.
-	resp, body := postJSON(t, base+"/v1/solve", `{"key":"is","n":4}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("solve after stalled client: status %d: %s", resp.StatusCode, body)
+	const timeout = 200 * time.Millisecond
+	for _, tc := range []struct {
+		name  string
+		start func(t *testing.T) string
+	}{
+		{"server", func(t *testing.T) string {
+			base, _ := startServer(t, NewServer(NewEngine(), WithRequestTimeout(timeout), WithMaxInflight(1)))
+			return base
+		}},
+		{"gateway", func(t *testing.T) string {
+			shard, _ := startServer(t, NewServer(NewEngine()))
+			gw, err := NewGateway([]string{shard}, WithGatewayRequestTimeout(timeout), WithGatewayMaxInflight(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return startGateway(t, gw)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := tc.start(t)
+			conn, err := net.Dial("tcp", strings.TrimPrefix(base, "http://"))
+			if err != nil {
+				t.Fatalf("dial: %v", err)
+			}
+			defer conn.Close()
+			partial := `{"key":"4col",`
+			fmt.Fprintf(conn, "POST /v1/solve HTTP/1.1\r\nHost: x\r\nContent-Type: application/json\r\nContent-Length: 1000\r\n\r\n%s", partial)
+			// The frontend must answer within the read deadline, not hang.
+			_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+			buf := make([]byte, 1024)
+			n, err := conn.Read(buf)
+			if err != nil {
+				t.Fatalf("stalled request got no response: %v", err)
+			}
+			if !strings.Contains(string(buf[:n]), "400") {
+				t.Errorf("stalled request response is not a 400:\n%s", buf[:n])
+			}
+			// The admission slot is free again: a real request serves.
+			resp, body := postJSON(t, base+"/v1/solve", `{"key":"is","n":4}`)
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("solve after stalled client: status %d: %s", resp.StatusCode, body)
+			}
+		})
 	}
 }
 
